@@ -24,12 +24,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-# The worker pool, the distributed backend and the fused skeletons must not
-# depend on the core count: nested parallel regions once deadlocked at
-# GOMAXPROCS=2.
+# The worker pool, the distributed backend, the fused skeletons and the
+# matrix kernels must not depend on the core count: nested parallel regions
+# once deadlocked at GOMAXPROCS=2.
 for procs in 1 2; do
-  echo "== go test (GOMAXPROCS=$procs): par, dist, runtime =="
-  GOMAXPROCS=$procs go test -count=1 -timeout 5m ./internal/par ./internal/dist ./internal/runtime
+  echo "== go test (GOMAXPROCS=$procs): par, dist, runtime, matrix =="
+  GOMAXPROCS=$procs go test -count=1 -timeout 5m ./internal/par ./internal/dist ./internal/runtime ./internal/matrix
 done
 
 echo "== kernel gates (fusebench -exp kernels) =="

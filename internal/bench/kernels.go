@@ -34,14 +34,18 @@ const (
 	// single-worker case by more than this vs the pre-overhaul row-at-a-time
 	// kernel.
 	mmMaxRegressionPct = 2.0
+
+	// tmmMinSpeedup: t(X) %*% y computed straight from X with 2 workers
+	// must beat materializing t(X) and multiplying by at least this factor.
+	tmmMinSpeedup = 2.0
 )
 
 // KernelsResult is the serialized outcome of the kernel-overhaul gates.
 type KernelsResult struct {
-	TSMMSeqMS      float64 `json:"tsmm_seq_ms"`       // pre-overhaul sequential reference
-	TSMM8MS        float64 `json:"tsmm_8workers_ms"`  // new kernel, 8 workers
-	TSMMSpeedup    float64 `json:"tsmm_speedup"`      // seq / 8-workers
-	TSMMPass       bool    `json:"tsmm_pass"`         // speedup >= 2.0
+	TSMMSeqMS      float64 `json:"tsmm_seq_ms"`      // pre-overhaul sequential reference
+	TSMM8MS        float64 `json:"tsmm_8workers_ms"` // new kernel, 8 workers
+	TSMMSpeedup    float64 `json:"tsmm_speedup"`     // seq / 8-workers
+	TSMMPass       bool    `json:"tsmm_pass"`        // speedup >= 2.0
 	AllocUnpooledB int64   `json:"alloc_unpooled_bytes"`
 	AllocPooledB   int64   `json:"alloc_pooled_bytes"`
 	AllocReduction float64 `json:"alloc_reduction_pct"`
@@ -49,7 +53,11 @@ type KernelsResult struct {
 	MMRefMS        float64 `json:"mm_ref_ms"`  // pre-overhaul row-at-a-time kernel
 	MMNewMS        float64 `json:"mm_new_ms"`  // blocked kernel, 1 worker
 	MMRegression   float64 `json:"mm_regression_pct"`
-	MMPass         bool    `json:"mm_pass"` // regression < 2%
+	MMPass         bool    `json:"mm_pass"`    // regression < 2%
+	TMMRefMS       float64 `json:"tmm_ref_ms"` // MatMult(Transpose(X), y), 2 workers
+	TMMNewMS       float64 `json:"tmm_new_ms"` // MatMultTransLeft(X, y), 2 workers
+	TMMSpeedup     float64 `json:"tmm_speedup"`
+	TMMPass        bool    `json:"tmm_pass"` // speedup >= 2.0
 	Pass           bool    `json:"pass"`
 }
 
@@ -120,6 +128,8 @@ func minTime(reps int, fn func()) time.Duration {
 //     the lineage-aware executor recycles every dead intermediate).
 //  3. Dense matmult, single worker: blocked kernel vs unblocked reference
 //     (gate: < 2% regression; blocking should win outright).
+//  4. t(X) %*% y on a 100k×10 X with 2 workers: the transpose-free
+//     left-transpose kernel vs transposing X first (gate: >= 2x).
 func Kernels(o Options) *Table {
 	reps := o.Reps
 	if reps < 3 {
@@ -194,6 +204,32 @@ func Kernels(o Options) *Table {
 		}
 	}
 	mmRegression := 100 * (float64(mmNew) - float64(mmRef)) / float64(mmRef)
+
+	// --- Gate 4: t(X) %*% y, 2 workers, transpose-free vs transpose first. ---
+	par.SetMaxWorkers(2)
+	tx := matrix.Rand(o.rows(100000), 10, 1, -1, 1, 7)
+	ty := matrix.Rand(o.rows(100000), 1, 1, -1, 1, 8)
+	tmmViaTranspose := func() {
+		xt := matrix.Transpose(tx)
+		matrix.MatMult(xt, ty).Release()
+		xt.Release()
+	}
+	tmmRef, tmmNew := time.Duration(1<<62), time.Duration(1<<62)
+	matrix.MatMultTransLeft(tx, ty).Release()
+	tmmViaTranspose()
+	for i := 0; i < reps*3; i++ {
+		start := time.Now()
+		matrix.MatMultTransLeft(tx, ty).Release()
+		if d := time.Since(start); d < tmmNew {
+			tmmNew = d
+		}
+		start = time.Now()
+		tmmViaTranspose()
+		if d := time.Since(start); d < tmmRef {
+			tmmRef = d
+		}
+	}
+	tmmSpeedup := float64(tmmRef) / float64(tmmNew)
 	par.SetMaxWorkers(oldWorkers)
 	runtime.GOMAXPROCS(oldProcs)
 
@@ -210,8 +246,12 @@ func Kernels(o Options) *Table {
 		MMNewMS:        float64(mmNew.Nanoseconds()) / 1e6,
 		MMRegression:   mmRegression,
 		MMPass:         mmRegression < mmMaxRegressionPct,
+		TMMRefMS:       float64(tmmRef.Nanoseconds()) / 1e6,
+		TMMNewMS:       float64(tmmNew.Nanoseconds()) / 1e6,
+		TMMSpeedup:     tmmSpeedup,
+		TMMPass:        tmmSpeedup >= tmmMinSpeedup,
 	}
-	res.Pass = res.TSMMPass && res.AllocPass && res.MMPass
+	res.Pass = res.TSMMPass && res.AllocPass && res.MMPass && res.TMMPass
 	if data, err := json.MarshalIndent(res, "", "  "); err == nil {
 		if err := os.WriteFile(kernelsFile, append(data, '\n'), 0o644); err != nil {
 			fmt.Fprintf(o.Out, "kernels: cannot write %s: %v\n", kernelsFile, err)
@@ -219,7 +259,7 @@ func Kernels(o Options) *Table {
 	}
 
 	t := &Table{
-		Title:   "Kernel overhaul gates: TSMM speedup, pooled allocations, matmult regression",
+		Title:   "Kernel overhaul gates: TSMM speedup, pooled allocations, matmult regression, t(X) %*% y",
 		Columns: []string{"gate", "baseline", "new", "delta", "pass"},
 	}
 	t.Add("tsmm 8w vs seq", ms(tsmmSeq), ms(tsmmNew),
@@ -228,5 +268,7 @@ func Kernels(o Options) *Table {
 		fmt.Sprintf("-%.1f%% (need >=%.0f%%)", allocReduction, allocMinReductionPct), fmt.Sprintf("%v", res.AllocPass))
 	t.Add("matmult 1w", ms(mmRef), ms(mmNew),
 		fmt.Sprintf("%+.2f%% (limit <%.0f%%)", mmRegression, mmMaxRegressionPct), fmt.Sprintf("%v", res.MMPass))
+	t.Add("tmm t(X)%*%y 2w", ms(tmmRef), ms(tmmNew),
+		fmt.Sprintf("%.2fx (need >=%.1fx)", tmmSpeedup, tmmMinSpeedup), fmt.Sprintf("%v", res.TMMPass))
 	return t
 }

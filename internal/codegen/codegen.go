@@ -13,7 +13,8 @@ import (
 // Optimize runs the codegen compiler over one HOP DAG: candidate
 // exploration, candidate selection per the configured policy, CPlan
 // construction, operator compilation (through the plan cache), and DAG
-// modification. The DAG is modified in place and returned.
+// modification, followed in every mode by the lowering of left-transpose
+// matmults (lowerTransLeft). The DAG is modified in place and returned.
 func Optimize(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats) *hop.DAG {
 	return OptimizeTraced(d, cfg, cache, stats, nil, obs.Span{})
 }
@@ -54,13 +55,21 @@ func OptimizeTraced(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep
 		rep.Compressed = compressedInputs(d)
 		defer func() { rep.HopsAfter = hop.Explain(d.Roots()) }()
 	}
+	fuse(d, cfg, cache, stats, rep, sp)
+	lowerTransLeft(d)
+	return d
+}
 
+// fuse applies the configured mode's fusion to d in place: nothing in Base,
+// the hand-coded patterns in Fused, and candidate exploration, plan
+// enumeration and operator construction in the Gen modes.
+func fuse(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep *PlanReport, sp obs.Span) {
 	switch cfg.Mode {
 	case ModeBase:
-		return d
+		return
 	case ModeFused:
 		applyFusedPatterns(d, cfg, cache, stats)
-		return d
+		return
 	}
 
 	stats.DAGsOptimized++
@@ -68,7 +77,7 @@ func OptimizeTraced(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep
 	memo := Explore(d.Roots(), cfg)
 	esp.End()
 	if len(memo.Groups) == 0 {
-		return d
+		return
 	}
 	parts := BuildPartitions(memo, d.Roots())
 	if !cfg.EnablePartition {
@@ -123,7 +132,6 @@ func OptimizeTraced(d *hop.DAG, cfg *Config, cache *PlanCache, stats *Stats, rep
 	csp := sp.Child("construct")
 	_ = construct(d, memo, parts, q, cfg, cache, stats, rep)
 	csp.End()
-	return d
 }
 
 // compressedInputs collects the bound inputs the interpreter's

@@ -16,8 +16,11 @@ func flops(h *hop.Hop) float64 {
 		return float64(h.Cells())
 	case hop.OpAggUnary, hop.OpRowIndexMax:
 		return float64(h.Inputs[0].Cells())
-	case hop.OpMatMult:
+	case hop.OpMatMult, hop.OpMatMultTransLeft:
 		a, b := h.Inputs[0], h.Inputs[1]
+		if h.Kind == hop.OpMatMultTransLeft {
+			a = transLeftOperand(h)
+		}
 		return 2 * float64(a.Rows) * float64(b.Cols) * float64(a.Cols) * a.Sparsity()
 	case hop.OpTranspose, hop.OpIndex, hop.OpCBind, hop.OpRBind, hop.OpDiag:
 		return float64(h.Cells())

@@ -114,7 +114,7 @@ func AnnotatePredictions(d *hop.DAG, cfg *Config) {
 		if h.PredSec > 0 {
 			return
 		}
-		predictHop(cfg, h, flops(h), float64(h.ReadInputSizeBytes()), 1)
+		predictHop(cfg, h, flops(h), readInputBytes(h), 1)
 	}
 	for _, r := range d.Roots() {
 		walk(r)

@@ -69,6 +69,48 @@ hops after fusion:
 	}
 }
 
+// TestExplainGoldenTransLeft pins how EXPLAIN renders a lowered
+// left-transpose matmult: at 10 columns the Row template is unprofitable,
+// so t(X) %*% (X %*% v) stays basic and its r(t) is lowered into ba(t+*).
+func TestExplainGoldenTransLeft(t *testing.T) {
+	s := NewSession(codegen.DefaultConfig())
+	s.Bind("X", matrix.Rand(2000, 10, 1, -1, 1, 7))
+	s.Bind("v", matrix.Rand(10, 1, 1, -1, 1, 8))
+	text, err := s.Explain("s = sum(X * X)\nw = t(X) %*% (X %*% v)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `# EXPLAIN block 1
+mode: Gen
+hops before fusion:
+  1 data(X) [] 2000x10 nnz=20000 LOCAL
+  2 b(*) [1,1] 2000x10 nnz=20000 LOCAL
+  3 ua(sum) [2] 1x1 nnz=1 LOCAL
+  4 r(t) [1] 10x2000 nnz=20000 LOCAL
+  5 data(v) [] 10x1 nnz=10 LOCAL
+  6 ba(+*) [1,5] 2000x1 nnz=2000 LOCAL
+  7 ba(+*) [4,6] 10x1 nnz=10 LOCAL
+partition 0: 2 nodes, 0 interesting points
+  plans: evaluated 0 of 1 hypothetical, materialized 0 points
+  estimated cost: #
+partition 1: 3 nodes, 0 interesting points
+  plans: evaluated 0 of 1 hypothetical, materialized 0 points
+  estimated cost: #
+fused operators: 1 (Cell)
+  Cell TMP#: 1 inputs, 1x1 output
+plan cache: 0 hits, 1 misses, 0 evictions
+hops after fusion:
+  1 data(X) [] 2000x10 nnz=20000 LOCAL
+  5 data(v) [] 10x1 nnz=10 LOCAL
+  6 ba(+*) [1,5] 2000x1 nnz=2000 LOCAL
+  7 ba(t+*) [1,6] 10x1 nnz=10 LOCAL
+  8 spoof(Cell) [1] 1x1 nnz=1 LOCAL
+`
+	if got := normalizeExplain(text); got != want {
+		t.Errorf("explain mismatch:\n--- got ---\n%s\n--- want ---\n%s", got, want)
+	}
+}
+
 // TestExplainBufferPoolSection checks that EXPLAIN reports the buffer-pool
 // lifecycle of the run it shadows.
 func TestExplainBufferPoolSection(t *testing.T) {

@@ -35,11 +35,18 @@ const (
 	OpCumsum                    // column-wise prefix sums
 	OpSpoof                     // generated fused operator
 	OpSpoofOut                  // output extractor of a multi-output fused operator
+
+	// OpMatMultTransLeft computes t(Inputs[0]) %*% Inputs[1] without
+	// materializing the transpose. Codegen lowers a LOCAL ba(+*) whose
+	// left input is r(t) to it after fusion; the rewrites and the fusion
+	// optimizer never see it.
+	OpMatMultTransLeft
 )
 
 var kindNames = [...]string{
 	"data", "lit", "datagen", "b", "u", "ua", "ba(+*)", "r(t)", "rix",
 	"cbind", "rbind", "rowIndexMax", "diag", "cumsum", "spoof", "spoofOut",
+	"ba(t+*)",
 }
 
 func (k OpKind) String() string { return kindNames[k] }
@@ -216,6 +223,15 @@ func (h *Hop) ReplaceInput(old, new_ *Hop) {
 			new_.Parents = append(new_.Parents, h)
 		}
 	}
+}
+
+// SetInput substitutes in for the input at position i only, fixing both
+// parent lists; unlike ReplaceInput it leaves other positions that
+// reference the same input untouched.
+func (h *Hop) SetInput(i int, in *Hop) {
+	h.Inputs[i].removeParent(h)
+	h.Inputs[i] = in
+	in.Parents = append(in.Parents, h)
 }
 
 func (h *Hop) removeParent(p *Hop) {

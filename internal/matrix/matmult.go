@@ -13,8 +13,9 @@ import (
 // (dense vs. CSR input kernels) follows the inputs; only the sparse×sparse
 // product chooses its own output format, via spspOutputSparseThreshold.
 const (
-	// mmNarrowCols: below this output width, inline scalar accumulation
-	// beats per-row vector-primitive calls (call overhead dominates).
+	// mmNarrowCols: below this output width (and above 1), one dot product
+	// per output cell over a transposed copy of B beats per-row
+	// vector-primitive calls, whose inner loops would run over n only.
 	mmNarrowCols = 8
 
 	// mmRowGrain is the minimum number of output rows per parallel chunk
@@ -79,23 +80,23 @@ func (ctx Ctx) matMultDenseDense(a, b, c *Matrix) {
 		return
 	}
 	if n < mmNarrowCols {
-		// Narrow outputs: inline accumulation beats per-row primitive calls.
+		// Narrow outputs: one length-k dot product per output cell over a
+		// transposed copy of B, so the inner loop runs over k, not over n.
+		bt := ctx.Buf.GetUninit(n * k)
+		for kk := 0; kk < k; kk++ {
+			for j := 0; j < n; j++ {
+				bt[j*k+kk] = bd[kk*n+j]
+			}
+		}
 		ctx.Par.For(m, mmRowGrain, func(lo, hi int) {
 			for i := lo; i < hi; i++ {
-				ci := i * n
-				ai := i * k
-				for kk := 0; kk < k; kk++ {
-					av := ad[ai+kk]
-					if av == 0 {
-						continue
-					}
-					bo := kk * n
-					for j := 0; j < n; j++ {
-						cd[ci+j] += av * bd[bo+j]
-					}
+				ar, cr := ad[i*k:i*k+k], cd[i*n:i*n+n]
+				for j := range cr {
+					cr[j] = dotNarrow(ar, bt[j*k:j*k+k])
 				}
 			}
 		})
+		ctx.Buf.Put(bt)
 		return
 	}
 	// Cache-blocked ikj: tile over k (mmKTile) and n (mmNTile) so the inner
@@ -130,6 +131,23 @@ func (ctx Ctx) matMultDenseDense(a, b, c *Matrix) {
 			}
 		}
 	})
+}
+
+// dotNarrow returns sum(a[p]*b[p]) over len(a) with two interleaved
+// accumulators; on the short rows of narrow products it beats the
+// 8-way-unrolled vector.DotProduct, whose call and tail overheads dominate.
+func dotNarrow(a, b []float64) float64 {
+	b = b[:len(a)]
+	var s0, s1 float64
+	p := 0
+	for ; p+2 <= len(a); p += 2 {
+		s0 += a[p] * b[p]
+		s1 += a[p+1] * b[p+1]
+	}
+	if p < len(a) {
+		s0 += a[p] * b[p]
+	}
+	return s0 + s1
 }
 
 func (ctx Ctx) matMultSparseDense(a, b, c *Matrix) {
@@ -421,6 +439,137 @@ func tsmmUpper(x *Matrix, od []float64, lo, hi int) {
 				continue
 			}
 			vector.MultAdd(xd, vp, od, off+jp, jp*n+jp, n-jp)
+		}
+	}
+}
+
+// Left-transpose matmult (t(X) %*% Y) blocking parameters.
+const (
+	// tmmBlockRows is the minimum number of rows of X per row block; each
+	// block accumulates one k×n partial.
+	tmmBlockRows = 512
+
+	// tmmMaxBlocks caps the number of row blocks, and so of partials:
+	// taller inputs get proportionally taller blocks.
+	tmmMaxBlocks = 64
+
+	// tmmReduceGrain is the minimum number of partial cells summed per
+	// parallel chunk of the block-order reduction.
+	tmmReduceGrain = 1 << 15
+)
+
+// MatMultTransLeft computes t(X) %*% Y on the default execution context.
+func MatMultTransLeft(x, y *Matrix) *Matrix { return Ctx{}.MatMultTransLeft(x, y) }
+
+// MatMultTransLeft computes t(X) %*% Y straight from X, without
+// materializing t(X) (SystemML's left-transpose matmult). X's rows are cut
+// into row blocks that depend only on the shapes; each block scans its rows
+// into a k×n partial that starts at zero, and the partials are summed in
+// block order. Which worker ran which block never enters the result, so it
+// is bitwise identical for any worker count. A sparse Y, or partials that
+// would exceed tsmmPartialCapBytes, fall back to MatMult(Transpose(X), Y).
+func (ctx Ctx) MatMultTransLeft(x, y *Matrix) *Matrix {
+	if x.Rows != y.Rows {
+		panic(fmt.Sprintf("matrix: matmult shape mismatch t(%dx%d) x %dx%d", x.Rows, x.Cols, y.Rows, y.Cols))
+	}
+	m, k, n := x.Rows, x.Cols, y.Cols
+	bs := max(tmmBlockRows, (m+tmmMaxBlocks-1)/tmmMaxBlocks)
+	nb := (m + bs - 1) / bs
+	kn := k * n
+	if y.IsSparse() || int64(nb)*int64(kn)*8 > tsmmPartialCapBytes {
+		xt := ctx.Transpose(x)
+		out := ctx.MatMult(xt, y)
+		xt.Release()
+		return out
+	}
+	// Dense X scans rows of its wider operand in the inner loop: with
+	// k >= n the partials hold t(t(X) %*% Y), n×k, row j accumulating
+	// y[i,j] * X[i,:]; otherwise they hold k×n, row p accumulating
+	// X[i,p] * Y[i,:]. Sparse X always accumulates k×n.
+	trans := !x.IsSparse() && k >= n
+	parts := ctx.Buf.Get(nb * kn)
+	ctx.Par.For(nb, 1, func(lo, hi int) {
+		for b := lo; b < hi; b++ {
+			r0, r1 := b*bs, min(b*bs+bs, m)
+			part := parts[b*kn : (b+1)*kn]
+			switch {
+			case x.IsSparse():
+				tmmSparse(x.sparse, y.dense, n, part, r0, r1)
+			case trans:
+				tmmDense(x.dense, k, y.dense, n, part, r0, r1)
+			default:
+				tmmDense(y.dense, n, x.dense, k, part, r0, r1)
+			}
+		}
+	})
+	out := ctx.NewDenseUninit(k, n)
+	od := out.dense
+	reduce := func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			for j := 0; j < n; j++ {
+				idx := p*n + j
+				if trans {
+					idx = j*k + p
+				}
+				var s float64
+				for b := 0; b < nb; b++ {
+					s += parts[b*kn+idx]
+				}
+				od[p*n+j] = s
+			}
+		}
+	}
+	if nb*kn <= tmmReduceGrain {
+		// A reduction below one grain is not worth a parallel region.
+		reduce(0, k)
+	} else {
+		ctx.Par.For(k, max(1, tmmReduceGrain/(n*nb)), reduce)
+	}
+	ctx.Buf.Put(parts)
+	return out
+}
+
+// tmmDense accumulates part[j*ac+q] += b[i*bc+j] * a[i*ac+q] over rows
+// [lo, hi) of the row-aligned dense operands a (width ac) and b (width
+// bc): part is bc×ac, and each pass loads and stores a part row once per
+// eight input rows (MultAdd8), like the TSMM kernel.
+func tmmDense(a []float64, ac int, b []float64, bc int, part []float64, lo, hi int) {
+	i := lo
+	for ; i+8 <= hi; i += 8 {
+		a0, b0 := i*ac, i*bc
+		for j := 0; j < bc; j++ {
+			vector.MultAdd8(a,
+				b[b0+j], b[b0+bc+j], b[b0+2*bc+j], b[b0+3*bc+j],
+				b[b0+4*bc+j], b[b0+5*bc+j], b[b0+6*bc+j], b[b0+7*bc+j],
+				part, a0, a0+ac, a0+2*ac, a0+3*ac, a0+4*ac, a0+5*ac, a0+6*ac, a0+7*ac,
+				j*ac, ac)
+		}
+	}
+	for ; i < hi; i++ {
+		for j := 0; j < bc; j++ {
+			vector.MultAdd(a, b[i*bc+j], part, i*ac, j*ac, ac)
+		}
+	}
+}
+
+// tmmSparse accumulates the k×n partial of t(X[lo:hi]) %*% Y[lo:hi] for a
+// CSR X and a dense Y of width n: each non-zero X[i,p] adds X[i,p]*Y[i,:]
+// to partial row p.
+func tmmSparse(xs *CSR, yd []float64, n int, part []float64, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		vals, cols := xs.Row(i)
+		if n == 1 {
+			yi := yd[i]
+			if yi == 0 {
+				continue
+			}
+			for q, p := range cols {
+				part[p] += vals[q] * yi
+			}
+			continue
+		}
+		for q, p := range cols {
+			vector.MultAdd(yd, vals[q], part, i*n, p*n, n)
 		}
 	}
 }

@@ -405,7 +405,9 @@ func ActualFlops(h *hop.Hop, ins []*matrix.Matrix, out *matrix.Matrix) float64 {
 		if len(ins) > 0 {
 			return storedCells(ins[0])
 		}
-	case hop.OpMatMult:
+	case hop.OpMatMult, hop.OpMatMultTransLeft:
+		// t(X) stores as many cells as X: a lowered matmult does the same
+		// work as the r(t) + ba(+*) pair it replaces.
 		if len(ins) == 2 {
 			return 2 * storedCells(ins[0]) * float64(ins[1].Cols)
 		}
@@ -425,7 +427,7 @@ func EstFlops(h *hop.Hop) float64 {
 		return cells
 	case hop.OpAggUnary:
 		return float64(h.Inputs[0].Cells())
-	case hop.OpMatMult:
+	case hop.OpMatMult, hop.OpMatMultTransLeft:
 		if len(h.Inputs) == 2 {
 			return 2 * float64(h.Inputs[0].Rows) * float64(h.Inputs[0].Cols) * float64(h.Inputs[1].Cols)
 		}
@@ -501,6 +503,8 @@ func evalLocal(ec matrix.Ctx, h *hop.Hop, ins []*matrix.Matrix, env Env, stop St
 		return ec.Agg(h.AggOp, h.AggDir, ins[0]), nil
 	case hop.OpMatMult:
 		return ec.MatMult(ins[0], ins[1]), nil
+	case hop.OpMatMultTransLeft:
+		return ec.MatMultTransLeft(ins[0], ins[1]), nil
 	case hop.OpTranspose:
 		return ec.Transpose(ins[0]), nil
 	case hop.OpIndex:
